@@ -25,22 +25,19 @@ bench:
 # Measure the cycle kernel (active-set vs naive, three load levels) and
 # record the perf trajectory in BENCH_kernel.json; then the allocation
 # axis (pooled vs unpooled, allocs/B per cycle, GC counts) in
-# BENCH_alloc.json; then all three kernels incl. the sharded parallel
-# one, with num_cpu/GOMAXPROCS context, in BENCH_parallel.json.
-# ... then the router-microarchitecture axis (iq/oq/voq at equal buffer
-# budget, three load levels) in BENCH_router.json.
+# BENCH_alloc.json; then the router-microarchitecture axis (iq/oq/voq at
+# equal buffer budget, three load levels) in BENCH_router.json; then the
+# result cache and dynamic reconfiguration in BENCH_cache.json and
+# BENCH_reconfig.json.
 bench-json:
 	$(GO) run ./cmd/benchjson -out BENCH_kernel.json
 	$(GO) run ./cmd/benchjson -alloc -out BENCH_alloc.json
-	$(GO) run ./cmd/benchjson -parallel -out BENCH_parallel.json
 	$(GO) run ./cmd/benchjson -router -out BENCH_router.json
 	$(GO) run ./cmd/benchjson -cache -out BENCH_cache.json
 	$(GO) run ./cmd/benchjson -reconfig -out BENCH_reconfig.json
 
-# Measure the scale-out ladder (512/2048/8192 routers, active kernel plus
-# parallel at 1/2/4/8 shards) in BENCH_scale.json. The shards=4-beats-
-# shards=1 claim only holds on multicore hardware; num_cpu/GOMAXPROCS are
-# recorded in the file so a single-core measurement is self-describing.
+# Measure the scale-out presets (512/2048/8192 routers, active kernel) in
+# BENCH_scale.json, with num_cpu/GOMAXPROCS recorded in the file.
 bench-scale:
 	$(GO) run ./cmd/benchjson -scale -out BENCH_scale.json
 

@@ -386,26 +386,6 @@ func BenchmarkKernelNaiveSaturation(b *testing.B) {
 	benchKernel(b, network.KernelNaive, 0.20)
 }
 
-// benchKernelParallel measures the sharded parallel kernel. On a
-// single-CPU machine the benchmark self-skips: the two-phase kernel can
-// only lose there (same work plus handoff overhead), and a committed
-// number from such a box would read as a parallel regression when it is
-// really a hardware limitation — BENCH_parallel.json records num_cpu for
-// the same reason.
-func benchKernelParallel(b *testing.B, rate float64) {
-	b.Helper()
-	if runtime.NumCPU() == 1 {
-		b.Skipf("parallel kernel benchmark skipped: runtime.NumCPU() == 1, no concurrency available "+
-			"(the compute phase would serialize behind %d-way handoff overhead); run on a multi-core machine",
-			runtime.GOMAXPROCS(0))
-	}
-	benchKernel(b, network.KernelParallel, rate)
-}
-
-func BenchmarkKernelParallelLowLoad(b *testing.B)    { benchKernelParallel(b, 0.02) }
-func BenchmarkKernelParallelMidLoad(b *testing.B)    { benchKernelParallel(b, 0.05) }
-func BenchmarkKernelParallelSaturation(b *testing.B) { benchKernelParallel(b, 0.20) }
-
 // The unpooled variants are the "before" leg of the allocation story
 // (cmd/benchjson -alloc records the same axis into BENCH_alloc.json).
 func BenchmarkKernelActiveMidLoadNoPool(b *testing.B) {

@@ -7,22 +7,14 @@
 // bytes per simulated cycle with packet pooling on and off, plus GC
 // counts over a fixed run, written as BENCH_alloc.json.
 //
-// With -parallel it measures all three kernels (naive/active/parallel)
-// and records num_cpu and GOMAXPROCS alongside, written as
-// BENCH_parallel.json — the CPU count matters because on a single-CPU
-// machine the parallel kernel can only pay handoff overhead, and a
-// reader must not mistake that for a regression.
-//
 // With -router it measures the three router microarchitectures
 // (iq/oq/voq, equal buffer budget) under the active-set kernel at every
 // load, written as BENCH_router.json — the cost axis of the Microarch
 // interface and its variants.
 //
-// With -scale it measures the parallel kernel's shard-scaling curves
-// (shards 1/2/4/8, active kernel as the sequential reference) on the
-// small/large/huge scale-out systems, written as BENCH_scale.json — the
-// regime where per-cycle work per shard is finally large enough for the
-// two-phase kernel to show real multicore speedup.
+// With -scale it measures the active-set kernel on the small/large/huge
+// scale-out systems, written as BENCH_scale.json — the regime where the
+// per-cycle cost grows with the awake set rather than the router count.
 //
 // With -cache it measures the result cache's wall-clock effect on a
 // fig7-quick subset (the three compared schemes, uniform random, 1 VC):
@@ -86,12 +78,8 @@ type measurement struct {
 	// Topology and NumRouters identify the simulated system ("baseline"
 	// for the 60-node paper system, or a scale preset), so measurements
 	// from different system sizes are never silently compared.
-	Topology   string `json:"topology"`
-	NumRouters int    `json:"num_routers"`
-	// Shards is the parallel-kernel shard count, recorded per-row only by
-	// the -scale mode (the -parallel artifact records it at the top
-	// level, where all rows share one resolved value).
-	Shards     int     `json:"shards,omitempty"`
+	Topology   string  `json:"topology"`
+	NumRouters int     `json:"num_routers"`
 	Cycles     int     `json:"cycles"`
 	NsPerCycle float64 `json:"ns_per_cycle"`
 }
@@ -140,24 +128,6 @@ type report struct {
 	Speedup map[string]float64 `json:"speedup_active_vs_naive"`
 }
 
-// parallelReport is the -parallel artifact: all three kernels at every
-// load, plus the CPU/GOMAXPROCS context without which the parallel
-// numbers cannot be interpreted (see the package comment).
-type parallelReport struct {
-	Date         string        `json:"date"`
-	GoVersion    string        `json:"go_version"`
-	GOOS         string        `json:"goos"`
-	GOARCH       string        `json:"goarch"`
-	NumCPU       int           `json:"num_cpu"`
-	GOMAXPROCS   int           `json:"gomaxprocs"`
-	Shards       int           `json:"shards"`
-	Measurements []measurement `json:"measurements"`
-	// Speedup maps load label to active/parallel ns-per-cycle ratio: >1
-	// means the parallel kernel is faster than active. Expect <1 when
-	// num_cpu is 1.
-	Speedup map[string]float64 `json:"speedup_parallel_vs_active"`
-}
-
 func measure(kernel string, rate float64) (measurement, error) {
 	return measureArch(kernel, "", rate)
 }
@@ -193,12 +163,12 @@ func measureArch(kernel, arch string, rate float64) (measurement, error) {
 	}, nil
 }
 
-// measureScale benchmarks one scale system under the given kernel and
-// shard count — the cell of the BENCH_scale.json shard-scaling curves.
-func measureScale(kernel string, sys experiments.ScaleSystem, shards int, rate float64) (measurement, error) {
+// measureScale benchmarks one scale system under the active-set kernel —
+// a row of BENCH_scale.json.
+func measureScale(sys experiments.ScaleSystem, rate float64) (measurement, error) {
 	var buildErr error
 	r := testing.Benchmark(func(b *testing.B) {
-		kb, err := experiments.NewScaleBench(kernel, sys.Config, shards, rate)
+		kb, err := experiments.NewScaleBench(network.KernelActive, sys.Config, rate)
 		if err != nil {
 			buildErr = err
 			b.Fatal(err)
@@ -210,11 +180,10 @@ func measureScale(kernel string, sys experiments.ScaleSystem, shards int, rate f
 		return measurement{}, buildErr
 	}
 	return measurement{
-		Kernel:     kernel,
+		Kernel:     network.KernelActive,
 		Rate:       rate,
 		Topology:   sys.Label,
 		NumRouters: sys.Config.NumRouters(),
-		Shards:     shards,
 		Cycles:     r.N,
 		NsPerCycle: float64(r.T.Nanoseconds()) / float64(r.N),
 	}, nil
@@ -349,57 +318,8 @@ func runAlloc(out string) {
 	}
 }
 
-func runParallel(out string) {
-	rep := parallelReport{
-		Date:       time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Speedup:    map[string]float64{},
-	}
-	// Record the shard count the kernel will actually resolve to, so the
-	// artifact is self-describing.
-	{
-		kb, err := experiments.NewKernelBench(network.KernelParallel, loads[0].Rate)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Shards = kb.Network().Shards()
-	}
-	perLoad := map[string]map[string]float64{}
-	for _, l := range loads {
-		perLoad[l.Label] = map[string]float64{}
-		for _, kernel := range []string{network.KernelNaive, network.KernelActive, network.KernelParallel} {
-			fmt.Fprintf(os.Stderr, "benchjson: %s load (rate %.2f), %s kernel...\n", l.Label, l.Rate, kernel)
-			m, err := measure(kernel, l.Rate)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-				os.Exit(1)
-			}
-			m.Load = l.Label
-			rep.Measurements = append(rep.Measurements, m)
-			perLoad[l.Label][kernel] = m.NsPerCycle
-		}
-		rep.Speedup[l.Label] = perLoad[l.Label][network.KernelActive] / perLoad[l.Label][network.KernelParallel]
-	}
-	writeJSON(out, rep)
-	for _, l := range loads {
-		fmt.Fprintf(os.Stderr, "  %-10s active %8.0f ns/cycle, parallel %8.0f ns/cycle (%.2fx on %d CPUs, %d shards)\n",
-			l.Label, perLoad[l.Label][network.KernelActive], perLoad[l.Label][network.KernelParallel],
-			rep.Speedup[l.Label], rep.NumCPU, rep.Shards)
-	}
-}
-
-// scaleReport is the -scale artifact: parallel-kernel ns/cycle across
-// shard counts 1/2/4/8 on each scale system (plus the active-set kernel
-// as the sequential reference), at the mid load. num_cpu and GOMAXPROCS
-// are the interpretation key: on a single-CPU machine every shard count
-// degenerates to sequential execution plus handoff overhead, so the
-// shard-scaling curve is only meaningful when num_cpu > 1 (CI's
-// scale-smoke job regenerates this artifact on a multicore runner).
+// scaleReport is the -scale artifact: active-set kernel ns/cycle on each
+// scale system at the mid load.
 type scaleReport struct {
 	Date         string        `json:"date"`
 	GoVersion    string        `json:"go_version"`
@@ -408,20 +328,14 @@ type scaleReport struct {
 	NumCPU       int           `json:"num_cpu"`
 	GOMAXPROCS   int           `json:"gomaxprocs"`
 	Measurements []measurement `json:"measurements"`
-	// Speedup maps topology label to shards=1/shards=4 ns-per-cycle
-	// ratio: >1 means four shards beat one. Expect <=1 when num_cpu is 1.
-	Speedup map[string]float64 `json:"speedup_shards4_vs_shards1"`
 }
-
-// scaleShards is the shard axis of the -scale curves.
-var scaleShards = []int{1, 2, 4, 8}
 
 // scaleRate is the offered load of the -scale measurements: just below
 // the scale systems' uniform-random saturation (~0.015 accepted
 // flits/cycle/node on the 2048-router preset, bisection-limited), so the
-// awake set is large enough for per-shard work to dominate coordination
-// while steady state still exists — past saturation the injection queues
-// grow without bound and ns/cycle drifts with the backlog.
+// awake set is large while steady state still exists — past saturation
+// the injection queues grow without bound and ns/cycle drifts with the
+// backlog.
 const scaleRate = 0.01
 
 func runScale(out string) {
@@ -432,38 +346,17 @@ func runScale(out string) {
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Speedup:    map[string]float64{},
 	}
-	perShards := map[string]map[int]float64{}
 	for _, sys := range experiments.ScaleSystems() {
-		perShards[sys.Label] = map[int]float64{}
 		fmt.Fprintf(os.Stderr, "benchjson: %s (%d routers), active kernel...\n", sys.Label, sys.Config.NumRouters())
-		m, err := measureScale(network.KernelActive, sys, 0, scaleRate)
+		m, err := measureScale(sys, scaleRate)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 			os.Exit(1)
 		}
 		m.Load = "mid"
-		m.Shards = 0
 		rep.Measurements = append(rep.Measurements, m)
-		active := m.NsPerCycle
-		for _, shards := range scaleShards {
-			fmt.Fprintf(os.Stderr, "benchjson: %s (%d routers), parallel kernel, %d shard(s)...\n",
-				sys.Label, sys.Config.NumRouters(), shards)
-			m, err := measureScale(network.KernelParallel, sys, shards, scaleRate)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-				os.Exit(1)
-			}
-			m.Load = "mid"
-			rep.Measurements = append(rep.Measurements, m)
-			perShards[sys.Label][shards] = m.NsPerCycle
-		}
-		rep.Speedup[sys.Label] = perShards[sys.Label][1] / perShards[sys.Label][4]
-		fmt.Fprintf(os.Stderr, "  %-6s active %9.0f ns/cycle; parallel 1/2/4/8 shards %9.0f %9.0f %9.0f %9.0f (4-shard speedup %.2fx on %d CPUs)\n",
-			sys.Label, active,
-			perShards[sys.Label][1], perShards[sys.Label][2], perShards[sys.Label][4], perShards[sys.Label][8],
-			rep.Speedup[sys.Label], rep.NumCPU)
+		fmt.Fprintf(os.Stderr, "  %-6s active %9.0f ns/cycle\n", sys.Label, m.NsPerCycle)
 	}
 	writeJSON(out, rep)
 }
@@ -707,7 +600,6 @@ type compareMeasurement struct {
 	Kernel     string  `json:"kernel"`
 	Router     string  `json:"router"`
 	Topology   string  `json:"topology"`
-	Shards     int     `json:"shards"`
 	Pooling    *bool   `json:"pooling"`
 	NsPerCycle float64 `json:"ns_per_cycle"`
 }
@@ -716,8 +608,8 @@ type compareMeasurement struct {
 // topology axis existed carry no topology field; those rows are
 // normalized to "baseline" (the only system they could measure), so an
 // old artifact still lines up with a regenerated one instead of every row
-// degenerating to a new/dropped pair. Axes a file doesn't use (shards,
-// router, pooling) are simply absent from its keys, so artifacts with
+// degenerating to a new/dropped pair. Axes a file doesn't use (router,
+// pooling) are simply absent from its keys, so artifacts with
 // different axis sets compare on the rows they share and report the rest
 // as added/dropped rather than failing.
 func (m compareMeasurement) key() string {
@@ -730,9 +622,6 @@ func (m compareMeasurement) key() string {
 	}
 	if m.Topology != "" && m.Topology != "baseline" {
 		k += "/" + m.Topology
-	}
-	if m.Shards > 0 {
-		k += fmt.Sprintf("/shards=%d", m.Shards)
 	}
 	if m.Pooling != nil {
 		k += fmt.Sprintf("/pooling=%v", *m.Pooling)
@@ -833,14 +722,13 @@ func writeJSON(path string, v any) {
 
 func main() {
 	alloc := flag.Bool("alloc", false, "measure allocations/GC (pooled vs unpooled) instead of kernel speed")
-	parallel := flag.Bool("parallel", false, "measure all three kernels (naive/active/parallel) with CPU context")
 	routerMode := flag.Bool("router", false, "measure the three router microarchitectures (iq/oq/voq) instead of kernels")
-	scaleMode := flag.Bool("scale", false, "measure the parallel kernel's shard-scaling curves on the scale-out systems (small/large/huge)")
+	scaleMode := flag.Bool("scale", false, "measure the active-set kernel on the scale-out systems (small/large/huge)")
 	cacheMode := flag.Bool("cache", false, "measure the result cache: one sweep cold vs cache-hit vs warm-started")
 	reconfigMode := flag.Bool("reconfig", false, "measure dynamic reconfiguration: two-link kill-and-migrate transition cost, drainless vs epoch, three loads")
 	compare := flag.Bool("compare", false, "diff two BENCH_*.json files: benchjson -compare old.json new.json")
 	tolerance := flag.Float64("tolerance", 0.10, "with -compare, ns_per_cycle regression fraction that fails the diff")
-	out := flag.String("out", "", "output JSON path (default BENCH_kernel.json, BENCH_alloc.json with -alloc, BENCH_parallel.json with -parallel, BENCH_router.json with -router, BENCH_scale.json with -scale, BENCH_cache.json with -cache)")
+	out := flag.String("out", "", "output JSON path (default BENCH_kernel.json, BENCH_alloc.json with -alloc, BENCH_router.json with -router, BENCH_scale.json with -scale, BENCH_cache.json with -cache)")
 	flag.Parse()
 	if *compare {
 		if flag.NArg() != 2 {
@@ -853,8 +741,6 @@ func main() {
 		switch {
 		case *alloc:
 			*out = "BENCH_alloc.json"
-		case *parallel:
-			*out = "BENCH_parallel.json"
 		case *routerMode:
 			*out = "BENCH_router.json"
 		case *scaleMode:
@@ -869,10 +755,6 @@ func main() {
 	}
 	if *alloc {
 		runAlloc(*out)
-		return
-	}
-	if *parallel {
-		runParallel(*out)
 		return
 	}
 	if *routerMode {

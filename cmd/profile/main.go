@@ -42,8 +42,7 @@ func main() {
 	cycles := flag.Int("cycles", 200000, "profiled simulation window in cycles")
 	warmup := flag.Int("warmup", 20000, "extra warmup cycles before profiling starts")
 	nopool := flag.Bool("nopool", false, "disable packet pooling (profile the before state)")
-	kernel := flag.String("kernel", network.KernelActive, "cycle kernel: active | naive | parallel")
-	shards := flag.Int("shards", 0, "with -kernel parallel: shard count (0 = GOMAXPROCS)")
+	kernel := flag.String("kernel", network.KernelActive, "cycle kernel: active | naive")
 	scale := flag.String("scale", "", "profile a scale-out preset instead of the baseline: small | large | huge (lowers -rate/-cycles defaults)")
 	flag.Parse()
 
@@ -86,7 +85,7 @@ func main() {
 		if *nopool {
 			fail(fmt.Errorf("-nopool does not combine with -scale"))
 		}
-		kb, err = experiments.NewScaleBench(*kernel, *sc, *shards, *rate)
+		kb, err = experiments.NewScaleBench(*kernel, *sc, *rate)
 	} else {
 		kb, err = experiments.NewKernelBenchPool(*kernel, *rate, *nopool)
 	}

@@ -16,7 +16,7 @@
 //
 //	uppsim -scheme none -rate 0.10       # watch a deadlock wedge the network
 //	uppsim -scale large -rate 0.01       # 2048-router scale-out preset
-//	UPP_KERNEL=parallel UPP_SHARDS=4 uppsim -scale huge -rate 0.005 -cycles 2000
+//	uppsim -scale huge -rate 0.005 -cycles 2000
 //
 // Closed-loop collective workloads (see EXPERIMENTS.md for the spec
 // syntax) replace the rate-driven generator; a run can be recorded to a

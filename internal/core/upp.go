@@ -952,10 +952,8 @@ func (u *UPP) makeGrant(ni *network.NI, id uint64, vnet message.VNet) func(grant
 // OnPacketEjected implements network.Scheme: a fully ejected popup packet
 // completes its recovery. Popup packets never eject through the normal
 // router datapath (pickInputVC skips popup flits in the destination
-// chiplet; popup ejection is EjectDirect from StartOfCycle), so under
-// the parallel kernel this hook only ever fires from the coordinator —
-// either directly or via the commit-phase replay of a deferred
-// non-popup ejection, which returns immediately here.
+// chiplet; popup ejection is EjectDirect from StartOfCycle), so a
+// non-popup ejection from the router walk returns immediately here.
 func (u *UPP) OnPacketEjected(_ *network.NI, pkt *message.Packet, cycle sim.Cycle) {
 	if !pkt.Popup {
 		return

@@ -18,10 +18,6 @@ import (
 // allocate at all — any regression (a map rebuilt per cycle, a slice
 // regrown from zero, a closure capture in the hot path) fails this test
 // with a nonzero count.
-// The parallel kernel is held to the same bar: its per-shard commit logs
-// are reused buffers, so once warmup has established each log's
-// high-water mark the compute/commit cycle must not allocate either
-// (goroutine handoff through the worker pool's channel is by value).
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second warmup")
@@ -37,37 +33,35 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	// buffers) — past saturation the injection queues grow without
 	// bound and "steady state" does not exist.
 	rates := map[string]float64{router.ArchIQ: 0.05, router.ArchOQ: 0.035, router.ArchVOQ: 0.05}
-	for _, kernel := range []string{network.KernelActive, network.KernelParallel} {
-		for _, arch := range RouterArchs() {
-			t.Run(kernel+"_"+arch, func(t *testing.T) {
-				kb, err := NewKernelBenchArch(kernel, arch, rates[arch])
-				if err != nil {
-					t.Fatal(err)
-				}
-				kb.Network().PacketPool().Preallocate(4096)
-				kb.Run(20000) // reach steady-state occupancy and buffer high-water marks
-				allocs := testing.AllocsPerRun(10, func() {
-					kb.Run(500)
-				})
-				if allocs != 0 {
-					t.Fatalf("steady-state window allocated %.2f objects per 500 cycles; want exactly 0", allocs)
-				}
-				st := kb.Network().PacketPool().Stats
-				if st.Reuses == 0 {
-					t.Fatal("pool never recycled a packet — the zero-alloc result is vacuous")
-				}
+	for _, arch := range RouterArchs() {
+		t.Run(network.KernelActive+"_"+arch, func(t *testing.T) {
+			kb, err := NewKernelBenchArch(network.KernelActive, arch, rates[arch])
+			if err != nil {
+				t.Fatal(err)
+			}
+			kb.Network().PacketPool().Preallocate(4096)
+			kb.Run(20000) // reach steady-state occupancy and buffer high-water marks
+			allocs := testing.AllocsPerRun(10, func() {
+				kb.Run(500)
 			})
-		}
+			if allocs != 0 {
+				t.Fatalf("steady-state window allocated %.2f objects per 500 cycles; want exactly 0", allocs)
+			}
+			st := kb.Network().PacketPool().Stats
+			if st.Reuses == 0 {
+				t.Fatal("pool never recycled a packet — the zero-alloc result is vacuous")
+			}
+		})
 	}
 }
 
 // TestSteadyStateZeroAllocScale holds the scale-out systems to the same
 // zero-allocation bar: on the hierarchical 2048-router preset, the awake
-// lists, the NI wake heap, the parallel kernel's shard partitions and
-// commit logs, and the idle-cycle fast-forward must all run out of
-// preallocated storage once warmup has established high-water marks. The
-// pool preallocation is larger than the baseline test's because the live
-// packet population scales with cores x latency. The offered rate sits
+// lists, the NI wake heap and the idle-cycle fast-forward must all run
+// out of preallocated storage once warmup has established high-water
+// marks. The pool preallocation is larger than the baseline test's
+// because the live packet population scales with cores x latency. The
+// offered rate sits
 // below the scale systems' uniform-random saturation (~0.015 accepted
 // flits/cycle/node on the 2048-router preset — the interposer bisection,
 // not the paper baseline's knee, is the limit): past it the injection
@@ -79,26 +73,24 @@ func TestSteadyStateZeroAllocScale(t *testing.T) {
 	if os.Getenv("UPP_NOPOOL") != "" {
 		t.Skip("pooling disabled via UPP_NOPOOL")
 	}
-	for _, kernel := range []string{network.KernelActive, network.KernelParallel} {
-		t.Run(kernel, func(t *testing.T) {
-			kb, err := NewScaleBench(kernel, topology.ScaleLargeConfig(), 4, 0.01)
-			if err != nil {
-				t.Fatal(err)
-			}
-			kb.Network().PacketPool().Preallocate(32768)
-			kb.Run(10000) // reach steady-state occupancy and buffer high-water marks
-			allocs := testing.AllocsPerRun(5, func() {
-				kb.Run(200)
-			})
-			if allocs != 0 {
-				t.Fatalf("scale steady-state window allocated %.2f objects per 200 cycles; want exactly 0", allocs)
-			}
-			st := kb.Network().PacketPool().Stats
-			if st.Reuses == 0 {
-				t.Fatal("pool never recycled a packet — the zero-alloc result is vacuous")
-			}
+	t.Run(network.KernelActive, func(t *testing.T) {
+		kb, err := NewScaleBench(network.KernelActive, topology.ScaleLargeConfig(), 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kb.Network().PacketPool().Preallocate(32768)
+		kb.Run(10000) // reach steady-state occupancy and buffer high-water marks
+		allocs := testing.AllocsPerRun(5, func() {
+			kb.Run(200)
 		})
-	}
+		if allocs != 0 {
+			t.Fatalf("scale steady-state window allocated %.2f objects per 200 cycles; want exactly 0", allocs)
+		}
+		st := kb.Network().PacketPool().Stats
+		if st.Reuses == 0 {
+			t.Fatal("pool never recycled a packet — the zero-alloc result is vacuous")
+		}
+	})
 }
 
 // TestSteadyStateZeroAllocCollective holds the closed-loop workload
@@ -114,24 +106,22 @@ func TestSteadyStateZeroAllocCollective(t *testing.T) {
 	if os.Getenv("UPP_NOPOOL") != "" {
 		t.Skip("pooling disabled via UPP_NOPOOL")
 	}
-	for _, kernel := range []string{network.KernelActive, network.KernelParallel} {
-		t.Run(kernel, func(t *testing.T) {
-			wb, err := NewWorkloadBench(kernel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wb.Network().PacketPool().Preallocate(4096)
-			wb.Run(20000) // several training iterations: all buffers at high-water marks
-			allocs := testing.AllocsPerRun(10, func() {
-				wb.Run(500)
-			})
-			if allocs != 0 {
-				t.Fatalf("collective steady-state window allocated %.2f objects per 500 cycles; want exactly 0", allocs)
-			}
-			st := wb.Network().PacketPool().Stats
-			if st.Reuses == 0 {
-				t.Fatal("pool never recycled a packet — the zero-alloc result is vacuous")
-			}
+	t.Run(network.KernelActive, func(t *testing.T) {
+		wb, err := NewWorkloadBench(network.KernelActive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb.Network().PacketPool().Preallocate(4096)
+		wb.Run(20000) // several training iterations: all buffers at high-water marks
+		allocs := testing.AllocsPerRun(10, func() {
+			wb.Run(500)
 		})
-	}
+		if allocs != 0 {
+			t.Fatalf("collective steady-state window allocated %.2f objects per 500 cycles; want exactly 0", allocs)
+		}
+		st := wb.Network().PacketPool().Stats
+		if st.Reuses == 0 {
+			t.Fatal("pool never recycled a packet — the zero-alloc result is vacuous")
+		}
+	})
 }

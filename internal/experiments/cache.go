@@ -14,7 +14,7 @@ package experiments
 //	                     only in measurement length share warmups
 //
 // The cache key deliberately excludes the execution strategy — cycle
-// kernel, shard count and packet pooling — because all of them are
+// kernel and packet pooling — because both are
 // bit-identical by construction (enforced by the kernel/pool equivalence
 // tests), so a Point computed under any of them is valid for all. It
 // deliberately includes the resolved router architecture (UPP_ROUTER

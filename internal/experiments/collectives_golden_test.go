@@ -25,7 +25,7 @@ func TestCollectivesGolden(t *testing.T) {
 		t.Fatalf("committed golden missing (regenerate with `make collectives-golden`): %v", err)
 	}
 	want := string(wantBytes)
-	for _, kernel := range []string{network.KernelActive, network.KernelNaive, network.KernelParallel} {
+	for _, kernel := range []string{network.KernelActive, network.KernelNaive} {
 		for _, jobs := range []int{1, 4} {
 			t.Run(kernel+"_jobs"+string(rune('0'+jobs)), func(t *testing.T) {
 				t.Setenv("UPP_KERNEL", kernel)

@@ -10,7 +10,7 @@ import (
 )
 
 // TestKernelCSVGolden: the CSV artifacts of the figure pipeline must be
-// byte-identical under the active-set, naive and parallel kernels. Fig2
+// byte-identical under the active-set and naive kernels. Fig2
 // runs in full (the design-time search is simulation-free but belongs to
 // the artifact set); fig7 runs the real latencyFigure code path trimmed
 // to a single traffic pattern with short windows, so every sweep,
@@ -39,18 +39,15 @@ func TestKernelCSVGolden(t *testing.T) {
 		}
 		return sb.String()
 	}
-	active := render(network.KernelActive)
-	for _, kernel := range []string{network.KernelNaive, network.KernelParallel} {
-		other := render(kernel)
-		if active == other {
-			continue
-		}
-		al, ol := strings.Split(active, "\n"), strings.Split(other, "\n")
-		for i := 0; i < len(al) && i < len(ol); i++ {
-			if al[i] != ol[i] {
-				t.Fatalf("CSV output diverges at line %d:\nactive: %s\n%s: %s", i+1, al[i], kernel, ol[i])
-			}
-		}
-		t.Fatalf("CSV lengths differ: active %d lines, %s %d lines", len(al), kernel, len(ol))
+	active, naive := render(network.KernelActive), render(network.KernelNaive)
+	if active == naive {
+		return
 	}
+	al, nl := strings.Split(active, "\n"), strings.Split(naive, "\n")
+	for i := 0; i < len(al) && i < len(nl); i++ {
+		if al[i] != nl[i] {
+			t.Fatalf("CSV output diverges at line %d:\nactive: %s\nnaive:  %s", i+1, al[i], nl[i])
+		}
+	}
+	t.Fatalf("CSV lengths differ: active %d lines, naive %d lines", len(al), len(nl))
 }

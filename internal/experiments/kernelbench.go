@@ -60,22 +60,19 @@ func newKernelBench(kernel, arch string, rate float64, disablePool bool) (*Kerne
 }
 
 // NewScaleBench builds a scale-out system (topology.BuildScale) under the
-// given cycle kernel, shard count and offered load — the measurement
-// behind cmd/benchjson's BENCH_scale.json shard-scaling curves. Shards is
-// passed straight to network.Config.Shards (0 = UPP_SHARDS, then
-// GOMAXPROCS) and is ignored by the non-parallel kernels. The warmup is
-// shorter than the baseline bench's (the per-cycle cost of a 2k-8k router
-// system makes 2000 warmup cycles dominate the run) but long enough for
-// several zero-load traversals of the largest mesh, so the measured
-// window still sees steady-state occupancy.
-func NewScaleBench(kernel string, sc topology.ScaleConfig, shards int, rate float64) (*KernelBench, error) {
+// given cycle kernel and offered load — the measurement behind
+// cmd/benchjson's BENCH_scale.json rows. The warmup is shorter than the
+// baseline bench's (the per-cycle cost of a 2k-8k router system makes
+// 2000 warmup cycles dominate the run) but long enough for several
+// zero-load traversals of the largest mesh, so the measured window still
+// sees steady-state occupancy.
+func NewScaleBench(kernel string, sc topology.ScaleConfig, rate float64) (*KernelBench, error) {
 	topo, err := topology.BuildScale(sc)
 	if err != nil {
 		return nil, err
 	}
 	cfg := network.DefaultConfig()
 	cfg.Kernel = kernel
-	cfg.Shards = shards
 	n, err := network.New(topo, cfg, core.New(core.DefaultConfig()))
 	if err != nil {
 		return nil, err

@@ -26,7 +26,7 @@ func TestRunReconfigAllToAllSoak(t *testing.T) {
 		{Link: links[0], Cycle: 400},
 		{Link: links[1], Cycle: 400},
 	}}
-	kernels := []string{network.KernelNaive, network.KernelActive, network.KernelParallel}
+	kernels := []string{network.KernelNaive, network.KernelActive}
 	var ref ReconfigOutcome
 	for i, k := range kernels {
 		out, err := RunReconfig(ReconfigSpec{

@@ -9,7 +9,7 @@ import (
 
 // ScaleSystem pairs a label with a scale-out topology configuration. The
 // three presets are shared by the `figures -exp scale` runner, the
-// cmd/benchjson -scale shard curves and the CI scale-smoke job, so every
+// cmd/benchjson -scale rows and the CI scale-smoke job, so every
 // scale artifact talks about the same systems.
 type ScaleSystem struct {
 	Label  string
@@ -40,7 +40,7 @@ func scaleRates() []float64 {
 // Scale compares UPP against remote control on the scale-out systems
 // under uniform random traffic: latency-vs-rate curves and a saturation
 // summary for the small and large presets (the huge preset is exercised
-// by the shard-scaling benchmarks and CI smoke, where a single
+// by the scale benchmarks and CI smoke, where a single
 // configuration suffices — a full sweep of an 8192-router system is a
 // multi-hour run). Run via `figures -exp scale`.
 func Scale(dur Durations, opts PoolOptions) ([]Table, error) {

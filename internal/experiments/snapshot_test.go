@@ -28,30 +28,23 @@ func snapSpec(sch SchemeName, arch string) RunSpec {
 
 // TestCheckpointRestoreEquivalence is the tentpole acceptance test: a run
 // checkpointed at cycle C and resumed from the checkpoint must reproduce
-// the uninterrupted run bit-identically, across every cycle kernel, shard
-// count, router microarchitecture and both popup-style schemes. The
+// the uninterrupted run bit-identically, across both cycle kernels, every
+// router microarchitecture and both popup-style schemes. The
 // checkpoint lands mid-measurement (cycle 700 of a 400+800 schedule), so
 // the statistics, latency histogram, event wheel and scheme FSMs are all
 // mid-flight when serialized. Deliberately not skipped under -short: CI
 // runs this matrix under the race detector.
 func TestCheckpointRestoreEquivalence(t *testing.T) {
-	kernels := []struct {
-		name   string
-		shards string
-	}{
-		{"active", ""},
-		{"naive", ""},
-		{"parallel", "1"},
-		{"parallel", "4"},
-	}
 	var totalPopups uint64
-	for _, k := range kernels {
+	for _, kernel := range []string{"active", "naive"} {
 		for _, arch := range []string{"iq", "oq", "voq"} {
 			for _, sch := range []SchemeName{SchemeUPP, SchemeRemoteControl} {
-				name := fmt.Sprintf("%s/shards%s/%s/%s", k.name, k.shards, arch, sch)
+				// The literal "shards" segment is what the subtest IDs
+				// have always carried; keeping it keeps them comparable
+				// across test histories.
+				name := fmt.Sprintf("%s/shards/%s/%s", kernel, arch, sch)
 				t.Run(name, func(t *testing.T) {
-					t.Setenv("UPP_KERNEL", k.name)
-					t.Setenv("UPP_SHARDS", k.shards)
+					t.Setenv("UPP_KERNEL", kernel)
 					t.Setenv("UPP_CACHE_DIR", "")
 					spec := snapSpec(sch, arch)
 					var buf bytes.Buffer

@@ -6,8 +6,8 @@
 // keeps no RNG stream — signal fates are stateless hashes of
 // (seed, kind, popupID, hop, cycle), and flap/stall windows are plain
 // cycle-range comparisons. Two runs of the same plan therefore inject
-// byte-identical faults regardless of kernel (naive, active, parallel),
-// shard count, or the order fate queries happen to be made in.
+// byte-identical faults regardless of kernel (naive, active) or the
+// order fate queries happen to be made in.
 package faults
 
 import (

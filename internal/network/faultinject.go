@@ -80,7 +80,7 @@ func (n *Network) ejectionStalled(node topology.NodeID, cycle sim.Cycle) bool {
 }
 
 // beginCycleFaults lets the injector apply scheduled transitions. Called
-// at the top of every kernel's step, on the coordinating goroutine.
+// at the top of every kernel's step.
 func (n *Network) beginCycleFaults(cycle sim.Cycle) {
 	if n.faults != nil {
 		n.faults.BeginCycle(cycle)

@@ -176,7 +176,7 @@ func TestScheduleHorizon(t *testing.T) {
 			t.Fatal("expected panic for out-of-horizon schedule")
 		}
 	}()
-	n.Schedule(n.Cycle()+10_000, func(int64) {})
+	n.ScheduleCall(n.Cycle()+10_000, network.SchemeCall{})
 }
 
 // TestSchedulePast: scheduling in the past must also panic.
@@ -189,5 +189,5 @@ func TestSchedulePast(t *testing.T) {
 			t.Fatal("expected panic for past schedule")
 		}
 	}()
-	n.Schedule(n.Cycle(), func(int64) {})
+	n.ScheduleCall(n.Cycle(), network.SchemeCall{})
 }

@@ -2,7 +2,6 @@ package network_test
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -55,11 +54,30 @@ func kernelRun(t *testing.T, kernel, arch, scheme string, rate float64, cycles i
 	return buf.String(), n.Stats
 }
 
-// TestKernelTraceEquality: the active-set and parallel kernels must be
-// pure optimizations — the flit-level event trace and every statistic
-// must be bit-identical to the naive exhaustive walk, for every scheme.
-// The UPP run uses an overload rate so deadlocks form and the full popup
-// protocol (detection, signals, circuit drain) executes under all
+// requireSameRun fails the test when the naive kernel's stats or
+// flit-level trace differ from the active-set kernel's, quoting the
+// traces around the first divergent byte.
+func requireSameRun(t *testing.T, activeTrace, naiveTrace string, activeStats, naiveStats network.Stats) {
+	t.Helper()
+	if activeStats != naiveStats {
+		t.Errorf("stats diverge:\nactive: %+v\nnaive:  %+v", activeStats, naiveStats)
+	}
+	if activeTrace != naiveTrace {
+		i := 0
+		for i < len(activeTrace) && i < len(naiveTrace) && activeTrace[i] == naiveTrace[i] {
+			i++
+		}
+		lo := max(i-200, 0)
+		t.Fatalf("flit traces diverge at byte %d:\nactive: ...%.300s\nnaive:  ...%.300s",
+			i, activeTrace[lo:], naiveTrace[lo:])
+	}
+}
+
+// TestKernelTraceEquality: the active-set kernel must be a pure
+// optimization — the flit-level event trace and every statistic must be
+// bit-identical to the naive exhaustive walk, for every scheme. The UPP
+// run uses an overload rate so deadlocks form and the full popup
+// protocol (detection, signals, circuit drain) executes under both
 // kernels.
 func TestKernelTraceEquality(t *testing.T) {
 	if testing.Short() {
@@ -75,9 +93,8 @@ func TestKernelTraceEquality(t *testing.T) {
 		{"composable", "", 0.05, 6000},
 		{"remote_control", "", 0.05, 6000},
 		{"upp", "", 0.12, 10000}, // past the knee: popups fire
-		// The oq and voq router variants must honor the same shard
-		// concurrency contract; the UPP overload case exercises their
-		// Step, drain and popup interplay under all kernels.
+		// The UPP overload case exercises the oq and voq variants' Step,
+		// drain and popup interplay under both kernels.
 		{"upp", "oq", 0.12, 10000},
 		{"upp", "voq", 0.12, 10000},
 		{"none", "oq", 0.05, 6000},
@@ -93,31 +110,14 @@ func TestKernelTraceEquality(t *testing.T) {
 			if tc.scheme == "upp" && activeStats.UpwardPackets == 0 {
 				t.Error("UPP case never detected an upward packet; raise the rate so the popup path is exercised")
 			}
-			for _, kernel := range []string{network.KernelNaive, network.KernelParallel} {
-				trace, stats := kernelRun(t, kernel, tc.arch, tc.scheme, tc.rate, tc.cycles, 42)
-				if activeStats != stats {
-					t.Errorf("stats diverge:\nactive:   %+v\n%-8s: %+v", activeStats, kernel, stats)
-				}
-				if activeTrace != trace {
-					i := 0
-					for i < len(activeTrace) && i < len(trace) && activeTrace[i] == trace[i] {
-						i++
-					}
-					lo := i - 200
-					if lo < 0 {
-						lo = 0
-					}
-					t.Fatalf("flit traces diverge at byte %d:\nactive:   ...%.300s\n%-8s: ...%.300s",
-						i, activeTrace[lo:], kernel, trace[lo:])
-				}
-			}
+			naiveTrace, naiveStats := kernelRun(t, network.KernelNaive, tc.arch, tc.scheme, tc.rate, tc.cycles, 42)
+			requireSameRun(t, activeTrace, naiveTrace, activeStats, naiveStats)
 		})
 	}
 }
 
-// kernelScaleRun is kernelRun on a scale-out system (topology.BuildScale)
-// with an explicit parallel-kernel shard count.
-func kernelScaleRun(t *testing.T, kernel string, shards int, scheme string, rate float64, cycles int, seed uint64) (string, network.Stats) {
+// kernelScaleRun is kernelRun on a scale-out system (topology.BuildScale).
+func kernelScaleRun(t *testing.T, kernel, scheme string, rate float64, cycles int, seed uint64) (string, network.Stats) {
 	t.Helper()
 	topo, err := topology.BuildScale(topology.ScaleLargeConfig())
 	if err != nil {
@@ -134,7 +134,6 @@ func kernelScaleRun(t *testing.T, kernel string, shards int, scheme string, rate
 	}
 	cfg := network.DefaultConfig()
 	cfg.Kernel = kernel
-	cfg.Shards = shards
 	n, err := network.New(topo, cfg, sch)
 	if err != nil {
 		t.Fatal(err)
@@ -148,9 +147,8 @@ func kernelScaleRun(t *testing.T, kernel string, shards int, scheme string, rate
 
 // TestKernelTraceEqualityScale extends the bit-identity contract to a
 // scale-out system (the hierarchical 2x2-tile, 2048-router preset): the
-// active-set and parallel kernels — the latter at several shard counts,
-// since shard boundaries move with the node count — must reproduce the
-// naive walk's flit trace exactly on a topology 30x the paper baseline.
+// active-set kernel must reproduce the naive walk's flit trace exactly
+// on a topology 30x the paper baseline.
 func TestKernelTraceEqualityScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation")
@@ -165,33 +163,9 @@ func TestKernelTraceEqualityScale(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.scheme, func(t *testing.T) {
-			activeTrace, activeStats := kernelScaleRun(t, network.KernelActive, 0, tc.scheme, tc.rate, tc.cycles, 42)
-			type leg struct {
-				kernel string
-				shards int
-			}
-			for _, l := range []leg{{network.KernelNaive, 0}, {network.KernelParallel, 1}, {network.KernelParallel, 4}} {
-				trace, stats := kernelScaleRun(t, l.kernel, l.shards, tc.scheme, tc.rate, tc.cycles, 42)
-				name := l.kernel
-				if l.shards > 0 {
-					name = fmt.Sprintf("%s/shards=%d", l.kernel, l.shards)
-				}
-				if activeStats != stats {
-					t.Errorf("stats diverge:\nactive: %+v\n%s: %+v", activeStats, name, stats)
-				}
-				if activeTrace != trace {
-					i := 0
-					for i < len(activeTrace) && i < len(trace) && activeTrace[i] == trace[i] {
-						i++
-					}
-					lo := i - 200
-					if lo < 0 {
-						lo = 0
-					}
-					t.Fatalf("flit traces diverge at byte %d:\nactive: ...%.300s\n%s: ...%.300s",
-						i, activeTrace[lo:], name, trace[lo:])
-				}
-			}
+			activeTrace, activeStats := kernelScaleRun(t, network.KernelActive, tc.scheme, tc.rate, tc.cycles, 42)
+			naiveTrace, naiveStats := kernelScaleRun(t, network.KernelNaive, tc.scheme, tc.rate, tc.cycles, 42)
+			requireSameRun(t, activeTrace, naiveTrace, activeStats, naiveStats)
 		})
 	}
 }
@@ -223,37 +197,20 @@ func kernelCollectiveRun(t *testing.T, kernel string) (string, network.Stats, si
 }
 
 // TestKernelTraceEqualityCollective is the collective-workload leg of
-// the kernel bit-identity contract: the closed-loop engine reads
-// consumption events (NI Consume hooks), which the parallel kernel
-// defers to its commit phase — this test proves that deferral is
-// invisible at flit granularity, under dependency-gated traffic whose
-// injection times are themselves functions of earlier deliveries.
+// the kernel bit-identity contract: the closed-loop engine reacts to
+// consumption events (NI Consume hooks), so its injection times are
+// themselves functions of earlier deliveries, and a wake the active-set
+// kernel missed would shift every later message.
 func TestKernelTraceEqualityCollective(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation")
 	}
 	activeTrace, activeStats, activeFinish := kernelCollectiveRun(t, network.KernelActive)
-	for _, kernel := range []string{network.KernelNaive, network.KernelParallel} {
-		trace, stats, finish := kernelCollectiveRun(t, kernel)
-		if finish != activeFinish {
-			t.Errorf("completion cycle diverges: active %d, %s %d", activeFinish, kernel, finish)
-		}
-		if activeStats != stats {
-			t.Errorf("stats diverge:\nactive:   %+v\n%-8s: %+v", activeStats, kernel, stats)
-		}
-		if activeTrace != trace {
-			i := 0
-			for i < len(activeTrace) && i < len(trace) && activeTrace[i] == trace[i] {
-				i++
-			}
-			lo := i - 200
-			if lo < 0 {
-				lo = 0
-			}
-			t.Fatalf("flit traces diverge at byte %d:\nactive:   ...%.300s\n%-8s: ...%.300s",
-				i, activeTrace[lo:], kernel, trace[lo:])
-		}
+	naiveTrace, naiveStats, naiveFinish := kernelCollectiveRun(t, network.KernelNaive)
+	if naiveFinish != activeFinish {
+		t.Errorf("completion cycle diverges: active %d, naive %d", activeFinish, naiveFinish)
 	}
+	requireSameRun(t, activeTrace, naiveTrace, activeStats, naiveStats)
 }
 
 // TestDrainStallDetectionActiveKernel: a genuinely wedged network must

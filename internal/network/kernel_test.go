@@ -9,8 +9,8 @@ import (
 )
 
 // TestValidateWheelHorizon: link latency + pipeline depth combinations the
-// event wheel cannot cover must be rejected at config time, not by
-// Schedule's runtime panic mid-simulation.
+// event wheel cannot cover must be rejected at config time, not by a
+// runtime wheel-horizon panic mid-simulation.
 func TestValidateWheelHorizon(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Router.LinkLatency = wheelSize - router.PipelineDepth - 1
@@ -27,10 +27,10 @@ func TestValidateWheelHorizon(t *testing.T) {
 	}
 }
 
-// TestValidateKernelName: only the three kernel names (or empty) pass.
+// TestValidateKernelName: only the two kernel names (or empty) pass.
 func TestValidateKernelName(t *testing.T) {
 	cfg := DefaultConfig()
-	for _, k := range []string{"", KernelActive, KernelNaive, KernelParallel} {
+	for _, k := range []string{"", KernelActive, KernelNaive} {
 		cfg.Kernel = k
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("kernel %q rejected: %v", k, err)
@@ -39,22 +39,6 @@ func TestValidateKernelName(t *testing.T) {
 	cfg.Kernel = "turbo"
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("unknown kernel name accepted")
-	}
-}
-
-// TestValidateShards: negative shard counts are a config error; zero means
-// "resolve at New" and any positive count is legal (clamped later).
-func TestValidateShards(t *testing.T) {
-	cfg := DefaultConfig()
-	for _, s := range []int{0, 1, 7, 1024} {
-		cfg.Shards = s
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("Shards=%d rejected: %v", s, err)
-		}
-	}
-	cfg.Shards = -1
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative Shards accepted")
 	}
 }
 
@@ -104,78 +88,27 @@ func TestKernelResolution(t *testing.T) {
 			t.Fatal("invalid UPP_KERNEL accepted")
 		}
 	})
-	t.Run("parallel env", func(t *testing.T) {
-		t.Setenv("UPP_KERNEL", KernelParallel)
-		n, err := build("")
-		if err != nil {
-			t.Fatal(err)
+	// "parallel" names no kernel (DESIGN.md §9): asking for it must fail
+	// and list the kernels that exist, not fall back to one of them.
+	rejectsParallel := func(t *testing.T, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatal("removed kernel \"parallel\" accepted")
 		}
-		if n.Kernel() != KernelParallel {
-			t.Fatalf("kernel %q, want %q from UPP_KERNEL", n.Kernel(), KernelParallel)
-		}
-	})
-}
-
-// TestShardResolution covers the Config.Shards -> UPP_SHARDS -> GOMAXPROCS
-// resolution chain of the parallel kernel, including the clamp to the node
-// count and rejection of malformed env values.
-func TestShardResolution(t *testing.T) {
-	topo := topology.MustBuild(topology.BaselineConfig())
-	build := func(shards int) (*Network, error) {
-		cfg := DefaultConfig()
-		cfg.Kernel = KernelParallel
-		cfg.Shards = shards
-		return New(topo, cfg, None{})
-	}
-
-	t.Run("config wins", func(t *testing.T) {
-		t.Setenv("UPP_SHARDS", "2")
-		n, err := build(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n.Shards() != 3 {
-			t.Fatalf("got %d shards, want explicit config value 3", n.Shards())
-		}
-	})
-	t.Run("env", func(t *testing.T) {
-		t.Setenv("UPP_SHARDS", "5")
-		n, err := build(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n.Shards() != 5 {
-			t.Fatalf("got %d shards, want 5 from UPP_SHARDS", n.Shards())
-		}
-	})
-	t.Run("clamped to node count", func(t *testing.T) {
-		t.Setenv("UPP_SHARDS", "")
-		n, err := build(10_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n.Shards() != topo.NumNodes() {
-			t.Fatalf("got %d shards, want clamp to %d nodes", n.Shards(), topo.NumNodes())
-		}
-	})
-	t.Run("bad env", func(t *testing.T) {
-		for _, bad := range []string{"zero", "0", "-3"} {
-			t.Setenv("UPP_SHARDS", bad)
-			if _, err := build(0); err == nil {
-				t.Fatalf("UPP_SHARDS=%q accepted", bad)
+		for _, want := range []string{`"parallel"`, `"active"`, `"naive"`} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name %s", err, want)
 			}
 		}
+	}
+	t.Run("parallel env", func(t *testing.T) {
+		t.Setenv("UPP_KERNEL", "parallel")
+		_, err := build("")
+		rejectsParallel(t, err)
 	})
-	t.Run("other kernels ignore shards", func(t *testing.T) {
-		cfg := DefaultConfig()
-		cfg.Kernel = KernelActive
-		cfg.Shards = 4
-		n, err := New(topo, cfg, None{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n.Shards() != 0 {
-			t.Fatalf("active kernel reports %d shards, want 0", n.Shards())
-		}
+	t.Run("parallel config", func(t *testing.T) {
+		t.Setenv("UPP_KERNEL", "")
+		_, err := build("parallel")
+		rejectsParallel(t, err)
 	})
 }

@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"os"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"uppnoc/internal/message"
 	"uppnoc/internal/router"
@@ -24,14 +22,10 @@ const (
 	// pending work are stepped each cycle. The default.
 	KernelActive = "active"
 	// KernelNaive is the exhaustive every-component-every-cycle walk, kept
-	// as a debug escape hatch (UPP_KERNEL=naive). Both kernels produce
+	// as the reference the active-set kernel is tested against and as a
+	// debug escape hatch (UPP_KERNEL=naive). Both kernels produce
 	// bit-identical simulations.
 	KernelNaive = "naive"
-	// KernelParallel shards the active-set router walk across a bounded
-	// worker pool with a two-phase compute/commit cycle (see parallel.go
-	// and DESIGN.md §9). Bit-identical to the other kernels at any shard
-	// count and GOMAXPROCS.
-	KernelParallel = "parallel"
 )
 
 // Config parameterizes a network instance.
@@ -57,16 +51,9 @@ type Config struct {
 	// scheme). Mutually exclusive with UseUpDown.
 	Adaptive bool
 	// Kernel selects the cycle kernel: KernelActive (the default when
-	// empty), KernelNaive or KernelParallel. When empty, the UPP_KERNEL
-	// environment variable is consulted before falling back to the
-	// active-set kernel.
+	// empty) or KernelNaive. When empty, the UPP_KERNEL environment
+	// variable is consulted before falling back to the active-set kernel.
 	Kernel string
-	// Shards is the static NodeID-range shard count of the parallel
-	// kernel. 0 consults UPP_SHARDS and then defaults to GOMAXPROCS;
-	// the value is clamped to the node count. The simulation is
-	// bit-identical at every shard count — shards only trade sync
-	// overhead against compute overlap. Ignored by the other kernels.
-	Shards int
 	// DisablePool turns off packet recycling: AllocPacket falls back to
 	// plain heap allocation and nothing is released. The simulation is
 	// bit-identical either way (the golden equivalence tests prove it);
@@ -93,9 +80,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("network: UseUpDown and Adaptive are mutually exclusive")
 	}
 	switch c.Kernel {
-	case "", KernelActive, KernelNaive, KernelParallel:
+	case "", KernelActive, KernelNaive:
 	default:
-		return fmt.Errorf("network: unknown kernel %q (want %q, %q or %q)", c.Kernel, KernelActive, KernelNaive, KernelParallel)
+		return fmt.Errorf("network: unknown kernel %q (want %q or %q)", c.Kernel, KernelActive, KernelNaive)
 	}
 	switch c.RouterArch {
 	case "", router.ArchIQ, router.ArchOQ, router.ArchVOQ:
@@ -109,12 +96,9 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("network: unknown router arch %q (want %q, %q or %q)", c.RouterArch, router.ArchIQ, router.ArchOQ, router.ArchVOQ)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("network: Shards must be >= 0")
-	}
 	// The event wheel must cover the longest schedulable delay: a flit's
 	// pipeline traversal plus its link flight. Surfacing the bound here
-	// turns Schedule's runtime panic into a configuration error.
+	// turns a runtime wheel-horizon panic into a configuration error.
 	if c.Router.LinkLatency+router.PipelineDepth >= wheelSize {
 		return fmt.Errorf("network: LinkLatency %d + pipeline depth %d reaches the %d-cycle event wheel horizon",
 			c.Router.LinkLatency, router.PipelineDepth, wheelSize)
@@ -122,11 +106,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// event kinds in the delivery wheel.
+// event kinds in the delivery wheel. The values are UPWS wire values.
 const (
 	evFlit = iota
 	evCredit
-	evCall
+	// evRetired once carried a scheme closure. It is never produced, and
+	// ReadSnapshot rejects it.
+	evRetired
 	evSchemeCall
 )
 
@@ -138,7 +124,6 @@ type event struct {
 	delta int8
 	free  bool
 	flit  message.Flit
-	fn    func(cycle sim.Cycle)
 	// callIdx indexes callWheel[slot] for evSchemeCall events. Keeping the
 	// SchemeCall payload out of event keeps the struct small so wheel slot
 	// capacities stabilise (see TestSteadyStateZeroAlloc).
@@ -203,15 +188,6 @@ type Network struct {
 	// them in one jump (see skipIdleCycles).
 	wheelPending int
 
-	// Parallel-kernel state (KernelParallel, see parallel.go): static
-	// NodeID-range shards with reusable commit logs, the in-compute flag
-	// the recording sinks branch on, and engagement counters for tests.
-	shards        []shard
-	inCompute     bool
-	computeWG     sync.WaitGroup
-	computePhases uint64
-	inlinePhases  uint64
-
 	Stats   Stats
 	latHist LatencyHistogram
 
@@ -226,17 +202,12 @@ type Network struct {
 	// routeEpoch is the current routing epoch; prevHier holds the previous
 	// epoch's tables while packets stamped with the old epoch are still in
 	// flight. epochLive counts live packets per epoch parity (at most two
-	// epochs coexist — the engine serializes transitions); routeMigrations
-	// counts lazy old→new migrations. Both are atomics because Route runs
-	// on compute workers under the parallel kernel; they are folded into
-	// Stats coordinator-side at the end of every cycle (foldReconfigStats)
-	// so Stats stay bit-identical across kernels.
-	routeEpoch      uint32
-	prevHier        *routing.Hierarchical
-	injectHold      bool
-	fencedLinks     int
-	epochLive       [2]atomic.Int64
-	routeMigrations atomic.Uint64
+	// epochs coexist — the engine serializes transitions).
+	routeEpoch  uint32
+	prevHier    *routing.Hierarchical
+	injectHold  bool
+	fencedLinks int
+	epochLive   [2]int64
 	// restoring suppresses fault-injector side effects while ReadSnapshot
 	// resyncs the injector's cursor (see snapshot.go and reconfig.Engine).
 	restoring bool
@@ -261,10 +232,10 @@ func New(t *topology.Topology, cfg Config, scheme Scheme) (*Network, error) {
 	switch n.kernel {
 	case "":
 		n.kernel = KernelActive
-	case KernelActive, KernelNaive, KernelParallel:
+	case KernelActive, KernelNaive:
 	default:
-		return nil, fmt.Errorf("network: unknown kernel %q (from UPP_KERNEL; want %q, %q or %q)",
-			n.kernel, KernelActive, KernelNaive, KernelParallel)
+		return nil, fmt.Errorf("network: unknown kernel %q (from UPP_KERNEL; want %q or %q)",
+			n.kernel, KernelActive, KernelNaive)
 	}
 	n.arch = cfg.RouterArch
 	if n.arch == "" {
@@ -351,11 +322,6 @@ func New(t *topology.Topology, cfg Config, scheme Scheme) (*Network, error) {
 		n.Routers[i] = r
 		n.NIs[i] = ni
 	}
-	if n.kernel == KernelParallel {
-		if err := n.initParallel(cfg.Shards); err != nil {
-			return nil, err
-		}
-	}
 	scheme.Attach(n)
 	return n, nil
 }
@@ -423,16 +389,9 @@ func (n *Network) migratePacket(p *message.Packet) {
 	old := p.Epoch
 	p.Epoch = n.routeEpoch
 	p.DownPhase = false
-	n.epochLive[old&1].Add(-1)
-	n.epochLive[p.Epoch&1].Add(1)
-	n.routeMigrations.Add(1)
-}
-
-// foldReconfigStats publishes the worker-side migration counter into
-// Stats. Called coordinator-side at the end of every cycle under all
-// three kernels, so Stats remain bit-identical across them.
-func (n *Network) foldReconfigStats() {
-	n.Stats.RouteMigrations = n.routeMigrations.Load()
+	n.epochLive[old&1]--
+	n.epochLive[p.Epoch&1]++
+	n.Stats.RouteMigrations++
 }
 
 // Cycle returns the current simulation time.
@@ -488,27 +447,11 @@ func (n *Network) prepare(p *message.Packet) {
 	routing.Prepare(n.Topo, p, n.scheme.Policy())
 }
 
-// Schedule runs fn at the given future cycle (plugins use this for signal
-// and popup-flit timing). Prefer ScheduleCall: a pending closure cannot
-// be serialized, so WriteSnapshot refuses to checkpoint while any
-// Schedule-scheduled event is in the wheel.
-func (n *Network) Schedule(cycle sim.Cycle, fn func(cycle sim.Cycle)) {
-	if cycle <= n.cycle {
-		panic("network: Schedule in the past or present")
-	}
-	if cycle-n.cycle >= wheelSize {
-		panic("network: Schedule beyond event wheel horizon")
-	}
-	slot := cycle % wheelSize
-	n.wheel[slot] = append(n.wheel[slot], event{kind: evCall, fn: fn})
-	n.wheelPending++
-}
-
 // ScheduleCall delivers c to the scheme's OnScheduledCall hook at the
-// given future cycle — the serializable form of Schedule. Delivery
-// order within a cycle matches Schedule exactly (one wheel slot, append
-// order), so a scheme migrating from closures to calls stays
-// bit-identical.
+// given future cycle (plugins use it for signal and popup-flit timing).
+// Events due in the same cycle — calls, flits and credits alike — are
+// delivered in the order they were scheduled. A pending call is plain
+// data, so it rides along in a snapshot.
 func (n *Network) ScheduleCall(cycle sim.Cycle, c SchemeCall) {
 	if cycle <= n.cycle {
 		panic("network: ScheduleCall in the past or present")
@@ -548,8 +491,8 @@ func (n *Network) NI(id topology.NodeID) *NI { return n.NIs[id] }
 // Router returns the router at node id.
 func (n *Network) Router(id topology.NodeID) router.Microarch { return n.Routers[id] }
 
-// Kernel returns the resolved cycle-kernel name (KernelActive,
-// KernelNaive or KernelParallel).
+// Kernel returns the resolved cycle-kernel name (KernelActive or
+// KernelNaive).
 func (n *Network) Kernel() string { return n.kernel }
 
 // RouterArch returns the resolved router microarchitecture name
@@ -753,17 +696,15 @@ func (n *Network) deliverEvents(cycle sim.Cycle, wake bool) {
 				}
 				n.Routers[e.to].ReceiveCredit(e.port, e.vc, int(e.delta), e.free)
 			}
-		case evCall:
-			e.fn(cycle)
 		case evSchemeCall:
 			n.scheme.OnScheduledCall(calls[e.callIdx], cycle)
 		}
-		// Drop the processed event's references (flit packet pointer,
-		// call closure): the slot array is reused at its grown capacity,
-		// and a retained entry would pin a released packet until the
-		// slot next overwrites it. Safe to clear in place — Schedule and
-		// the Deliver* sinks bound deltas to [1, wheelSize), so nothing
-		// appends to the slot being drained.
+		// Drop the processed event's flit packet pointer: the slot array
+		// is reused at its grown capacity, and a retained entry would pin
+		// a released packet until the slot next overwrites it. Safe to
+		// clear in place — ScheduleCall and the Deliver* sinks bound
+		// deltas to [1, wheelSize), so nothing appends to the slot being
+		// drained.
 		*e = event{}
 	}
 	// Clear the drained call payloads too — they carry flit packet refs.
@@ -777,8 +718,6 @@ func (n *Network) Step() {
 	switch n.kernel {
 	case KernelNaive:
 		n.stepNaive()
-	case KernelParallel:
-		n.stepParallel()
 	default:
 		n.stepActive()
 	}
@@ -801,7 +740,6 @@ func (n *Network) stepNaive() {
 		ni.step(cycle)
 	}
 	n.scheme.EndOfCycle(cycle)
-	n.foldReconfigStats()
 	n.cycle++
 }
 
@@ -829,7 +767,6 @@ func (n *Network) stepActive() {
 	n.retireRouters(cycle)
 	n.retireNIs()
 	n.scheme.EndOfCycle(cycle)
-	n.foldReconfigStats()
 	n.cycle++
 }
 
@@ -884,7 +821,7 @@ func (n *Network) skipIdleCycles(limit sim.Cycle) {
 // recordEjected updates latency statistics when a packet fully ejects.
 func (n *Network) recordEjected(p *message.Packet, cycle sim.Cycle) {
 	n.lastEject = cycle
-	n.epochLive[p.Epoch&1].Add(-1)
+	n.epochLive[p.Epoch&1]--
 	n.Stats.EjectedPackets++
 	if p.BirthCycle >= n.Stats.MeasureStart {
 		n.Stats.MeasuredPackets++

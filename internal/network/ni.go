@@ -259,7 +259,7 @@ func (ni *NI) injectStep(cycle sim.Cycle) {
 			// enters the network: route lookups stay pinned to this
 			// epoch's tables until delivery or migration (see Route).
 			st.pkt.Epoch = ni.net.routeEpoch
-			ni.net.epochLive[st.pkt.Epoch&1].Add(1)
+			ni.net.epochLive[st.pkt.Epoch&1]++
 			ni.net.Stats.InjectedPackets++
 			if ni.net.Tracing() {
 				// Guarded: the variadic argument boxing would allocate

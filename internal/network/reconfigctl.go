@@ -32,12 +32,12 @@ func (n *Network) InjectHold() bool { return n.injectHold }
 // previous routing epoch. Zero means the old epoch has drained and
 // FinishRouteTransition may run. Only meaningful while TransitionActive.
 func (n *Network) OldEpochLive() int64 {
-	return n.epochLive[(n.routeEpoch-1)&1].Load()
+	return n.epochLive[(n.routeEpoch-1)&1]
 }
 
 // EpochLive returns the live-packet count of the current routing epoch.
 func (n *Network) EpochLive() int64 {
-	return n.epochLive[n.routeEpoch&1].Load()
+	return n.epochLive[n.routeEpoch&1]
 }
 
 // BeginRouteTransition installs local as the new per-layer routing

@@ -8,12 +8,11 @@ import (
 	"uppnoc/internal/topology"
 )
 
-// SchemeCall is a deferred scheme action in the event wheel — the
-// serializable replacement for closure-based Network.Schedule calls.
-// The scheme defines its own Kind space and decodes the payload in
-// OnScheduledCall; the network only stores and redelivers the struct,
-// which is what lets a snapshot capture pending protocol timing (a
-// closure cannot be serialized; this can).
+// SchemeCall is a deferred scheme action in the event wheel, scheduled
+// with Network.ScheduleCall. The scheme defines its own Kind space and
+// decodes the payload in OnScheduledCall; the network only stores and
+// redelivers the struct, which is what lets a snapshot capture pending
+// protocol timing.
 type SchemeCall struct {
 	// Kind is scheme-private (see core's uppCall* constants).
 	Kind uint8
@@ -38,16 +37,6 @@ type SchemeCall struct {
 // A scheme observes and manipulates the datapath through the routers'
 // plugin API and the hooks below; the base datapath itself is identical
 // across schemes, which is what makes the paper's comparisons meaningful.
-//
-// Concurrency contract (parallel kernel): every hook runs on the
-// coordinating goroutine, never during the concurrent compute phase —
-// StartOfCycle/EndOfCycle/OnRouterIdle bracket or follow the router
-// walk, OnFlitArrived fires at event delivery, CanStartPacket during
-// the sequential NI walk, and OnPacketEjected from the commit-phase
-// replay of deferred ejections. Hooks may therefore freely touch global
-// state, but a future scheme must not add router-initiated scheme calls
-// to Router.Step without routing them through the commit log (see
-// parallel.go and DESIGN.md §9).
 type Scheme interface {
 	// Name identifies the scheme in reports.
 	Name() string

@@ -16,8 +16,8 @@ import (
 // of mutable state that influences future behavior — router pipelines,
 // NIs, the event wheel, the scheme's protocol FSMs, the packet pool and
 // all RNG streams — so that a restored network replays the uninterrupted
-// run bit-identically (flit traces, stats, popups) under every kernel,
-// shard count and router arch.
+// run bit-identically (flit traces, stats, popups) under every kernel
+// and router arch.
 const (
 	snapMagic = "UPWS"
 	// Version 2 added the routing-epoch scalars (routeEpoch, injectHold,
@@ -46,19 +46,9 @@ type SnapshotExtra interface {
 
 // WriteSnapshot serializes the network's full state to w, between
 // cycles (call it after Step/Run returns, never from inside a hook).
-// It fails if any closure-based Schedule event is pending — schemes
-// must use ScheduleCall for anything that can be in flight at a
-// checkpoint.
 func (n *Network) WriteSnapshot(out io.Writer, extras ...SnapshotExtra) error {
-	if n.inCompute || n.inNIWalk {
+	if n.inNIWalk {
 		return fmt.Errorf("network: snapshot mid-cycle (call between Steps)")
-	}
-	for si := range n.wheel {
-		for ei := range n.wheel[si] {
-			if n.wheel[si][ei].kind == evCall {
-				return fmt.Errorf("network: snapshot with a pending closure event (scheme must use ScheduleCall)")
-			}
-		}
 	}
 	w := snap.NewWriter()
 	// Header: magic, version, and a configuration fingerprint so a
@@ -146,8 +136,8 @@ func (n *Network) WriteSnapshot(out io.Writer, extras ...SnapshotExtra) error {
 	// from its own (serialized) event cursor during its RestoreState.
 	w.Uvarint(uint64(n.routeEpoch))
 	w.Bool(n.injectHold)
-	w.Varint(n.epochLive[0].Load())
-	w.Varint(n.epochLive[1].Load())
+	w.Varint(n.epochLive[0])
+	w.Varint(n.epochLive[1])
 	w.Int(n.fencedLinks)
 
 	// The packet table closes every pointer-bearing section; sections
@@ -235,7 +225,7 @@ func (n *Network) ReadSnapshot(data []byte, extras ...SnapshotExtra) (err error)
 		for ei := 0; ei < cnt; ei++ {
 			var e event
 			k := r.Uvarint("event kind")
-			if r.Err() == nil && (k > evSchemeCall || k == evCall) {
+			if r.Err() == nil && (k > evSchemeCall || k == evRetired) {
 				r.Fail("event kind %d invalid in a snapshot", k)
 			}
 			e.kind = uint8(k)
@@ -349,8 +339,8 @@ func (n *Network) ReadSnapshot(data []byte, extras ...SnapshotExtra) (err error)
 	}
 	n.routeEpoch = uint32(epoch)
 	n.injectHold = r.Bool("inject hold")
-	n.epochLive[0].Store(r.Varint("epoch live 0"))
-	n.epochLive[1].Store(r.Varint("epoch live 1"))
+	n.epochLive[0] = r.Varint("epoch live 0")
+	n.epochLive[1] = r.Varint("epoch live 1")
 	n.fencedLinks = r.Int("fenced links", 0, int64(len(n.Topo.Links)))
 
 	r.ReadPacketTable()
@@ -378,9 +368,6 @@ func (n *Network) ReadSnapshot(data []byte, extras ...SnapshotExtra) (err error)
 	if err := n.Stats.restore(r); err != nil {
 		return err
 	}
-	// The worker-side migration counter mirrors the folded Stats value
-	// (snapshots are taken between cycles, right after a fold).
-	n.routeMigrations.Store(n.Stats.RouteMigrations)
 	if err := n.latHist.restore(r); err != nil {
 		return err
 	}

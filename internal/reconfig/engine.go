@@ -104,9 +104,9 @@ type Config struct {
 }
 
 // Engine drives deadlock-free dynamic reconfiguration. It implements
-// network.FaultInjector so it is consulted at the top of every cycle on
-// the coordinating goroutine of every kernel — all decisions are
-// sequential and kernel bit-identical. Protocol per batch:
+// network.FaultInjector so it is consulted at the top of every cycle
+// under every kernel — all decisions are sequential and kernel
+// bit-identical. Protocol per batch:
 //
 //  1. Walk the CDG of the old routing function (before any flag flips),
 //     apply the batch's Faulty flips, rebuild routing on the surviving

@@ -31,8 +31,8 @@ const (
 // Microarch is the narrow surface the rest of the system consumes from a
 // router: the kernels drive ReceiveFlit/ReceiveCredit/Step/Idle, the
 // schemes observe and manipulate the datapath through the epoch-stamped
-// crossbar claims and the plugin API, the parallel kernel rewires the
-// sinks, fault injection toggles ports, and the invariant checkers and
+// crossbar claims and the plugin API, network construction wires the NI
+// sink, fault injection toggles ports, and the invariant checkers and
 // debug renders read through the inspection accessors. Every concrete
 // pipeline (iq, oq, voq) implements it; network construction goes through
 // NewMicroarch.
@@ -55,8 +55,8 @@ type Microarch interface {
 	// ReceiveCredit applies a credit arriving at output port port.
 	ReceiveCredit(port topology.PortID, vc int8, delta int, free bool)
 	// Step runs one cycle of the pipeline. It must honor the Step
-	// concurrency contract (see Router.Step): mutate only this router's
-	// own state and emit every cross-component effect through the sinks.
+	// locality contract (see Router.Step): mutate only this router's own
+	// state and emit every cross-component effect through the sinks.
 	Step(cycle sim.Cycle)
 	// Idle reports that stepping would be a no-op; the active-set kernel
 	// retires idle routers until an arrival wakes them.
@@ -105,9 +105,6 @@ type Microarch interface {
 	// Neighbor returns the (node, port) on the far side of output p.
 	Neighbor(p topology.PortID) (topology.NodeID, topology.PortID)
 
-	// SetSink replaces the event sink (the parallel kernel installs
-	// per-shard recording sinks).
-	SetSink(s EventSink)
 	// SetLocal attaches the NI-facing sink.
 	SetLocal(l LocalSink)
 	// SetPortDown marks output p as crossing a transiently-down link.

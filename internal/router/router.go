@@ -158,12 +158,6 @@ func New(n *topology.Node, cfg Config, sink EventSink, local LocalSink, route Ro
 // each other, so the sink is wired after construction.
 func (r *Router) SetLocal(l LocalSink) { r.local = l }
 
-// SetSink replaces the event sink. The parallel cycle kernel installs a
-// per-shard recording sink here so that Step's cross-component effects
-// (scheduled flits and credits) can be buffered during the concurrent
-// compute phase and replayed in NodeID order by the commit phase.
-func (r *Router) SetSink(s EventSink) { r.sink = s }
-
 // Buffered returns the number of flits currently buffered in the router.
 func (r *Router) Buffered() int { return r.buffered }
 
@@ -333,15 +327,13 @@ func (r *Router) Neighbor(p topology.PortID) (topology.NodeID, topology.PortID) 
 // head flits, separable (input-first then output) round-robin switch
 // allocation with VC selection, and switch traversal for the winners.
 //
-// Concurrency contract (the parallel cycle kernel depends on it): Step
-// mutates only this router's own state (VCs, claims, credits, stats, its
-// split RNG) and emits every cross-component effect through r.sink
-// (DeliverFlit/DeliverCredit) or r.local (AcceptFlit). Its only reads of
-// other components are the attached NI's ejection occupancy
-// (CanAcceptHead) and immutable topology/route tables — it never reads
-// another router. Any new datapath feature that needs cross-router state
-// during Step must instead be staged through the sinks or moved into the
-// scheme's StartOfCycle/EndOfCycle hooks, which run on the coordinator.
+// Locality contract: Step mutates only this router's own state (VCs,
+// claims, credits, stats, its split RNG) and emits every cross-component
+// effect through r.sink (DeliverFlit/DeliverCredit) or r.local
+// (AcceptFlit). Its only reads of other components are the attached NI's
+// ejection occupancy (CanAcceptHead) and immutable topology/route tables —
+// it never reads another router. The router tests rely on this to drive
+// Step through fake sinks.
 func (r *Router) Step(cycle sim.Cycle) {
 	if r.buffered == 0 {
 		return

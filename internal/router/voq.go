@@ -19,7 +19,7 @@ import (
 // through-traffic contending for the same input port.
 //
 // Everything else — route computation, randomized downstream VC
-// selection, credit flow, the plugin API, the Step concurrency contract —
+// selection, credit flow, the plugin API, the Step locality contract —
 // is inherited from the embedded input-queued router.
 type VOQ struct {
 	*Router

@@ -34,11 +34,9 @@ func NewRNG(seed uint64) *RNG {
 
 // Split derives an independent stream from r, keyed by id. Components that
 // must not perturb each other's random sequences (e.g. per-node traffic
-// generators) each take a split stream. Split streams are also the unit
-// of RNG ownership under the parallel cycle kernel: each router draws
-// only from its own pre-split stream during the concurrent compute
-// phase, so no generator is ever shared across goroutines and the
-// consumed sequence is independent of scheduling.
+// generators) each take a split stream. Each router draws only from its
+// own pre-split stream, so its random sequence does not depend on how
+// many draws other routers made.
 func (r *RNG) Split(id uint64) *RNG {
 	return NewRNG(r.Uint64() ^ (id * 0x9e3779b97f4a7c15) ^ 0xd1b54a32d192ed03)
 }

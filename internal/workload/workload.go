@@ -11,9 +11,8 @@
 // and an optional local compute delay before it fires its sends. The
 // Engine advances every rank's state machine once per cycle, before
 // Network.Step, exactly like the open-loop traffic generator — so a
-// workload run is deterministic under every cycle kernel and shard count
-// (message consumption happens on the coordinating goroutine in NodeID
-// order under all three kernels).
+// workload run is deterministic under both cycle kernels (message
+// consumption happens in NodeID order under each).
 package workload
 
 import (

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench bench-json bench-scale bench-compare cover-json cover-compare collectives-golden router-golden profile figures figures-full demo fmt vet clean
+.PHONY: all build test test-short race bench cover-json cover-compare collectives-golden router-golden profile figures figures-full demo fmt vet clean
 
 all: build test
 
@@ -22,34 +22,8 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Measure the cycle kernel (active-set vs naive, three load levels) and
-# record the perf trajectory in BENCH_kernel.json; then the allocation
-# axis (pooled vs unpooled, allocs/B per cycle, GC counts) in
-# BENCH_alloc.json; then the router-microarchitecture axis (iq/oq/voq at
-# equal buffer budget, three load levels) in BENCH_router.json; then the
-# result cache and dynamic reconfiguration in BENCH_cache.json and
-# BENCH_reconfig.json.
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_kernel.json
-	$(GO) run ./cmd/benchjson -alloc -out BENCH_alloc.json
-	$(GO) run ./cmd/benchjson -router -out BENCH_router.json
-	$(GO) run ./cmd/benchjson -cache -out BENCH_cache.json
-	$(GO) run ./cmd/benchjson -reconfig -out BENCH_reconfig.json
-
-# Measure the scale-out presets (512/2048/8192 routers, active kernel) in
-# BENCH_scale.json, with num_cpu/GOMAXPROCS recorded in the file.
-bench-scale:
-	$(GO) run ./cmd/benchjson -scale -out BENCH_scale.json
-
-# Re-measure the kernels and diff against the committed baseline; fails
-# when any ns_per_cycle regresses beyond 10% (tune with
-# `go run ./cmd/benchjson -compare -tolerance 0.2 old new`).
-bench-compare:
-	$(GO) run ./cmd/benchjson -out /tmp/BENCH_kernel_fresh.json
-	$(GO) run ./cmd/benchjson -compare BENCH_kernel.json /tmp/BENCH_kernel_fresh.json
-
 # Record per-package statement coverage as a diffable artifact
-# (COVER_baseline.json), the coverage analogue of bench-json.
+# (COVER_baseline.json).
 cover-json:
 	$(GO) test -cover ./... | tee /tmp/cover_out.txt
 	$(GO) run ./cmd/coverjson -extract -out COVER_baseline.json /tmp/cover_out.txt
@@ -65,7 +39,7 @@ cover-compare:
 
 # Regenerate the committed collective-workload golden CSV
 # (results/collectives.csv). TestCollectivesGolden pins the artifact
-# bit-identically across all three kernels and any worker count — rerun
+# bit-identically across both kernels and any worker count — rerun
 # this target (and commit the diff) after any intentional change to the
 # collective engine, the schemes, or the experiment grid.
 collectives-golden:

@@ -366,7 +366,10 @@ func benchKernel(b *testing.B, kernel string, rate float64) {
 
 func benchKernelPool(b *testing.B, kernel string, rate float64, disablePool bool) {
 	b.Helper()
-	kb, err := experiments.NewKernelBenchPool(kernel, rate, disablePool)
+	cfg := network.DefaultConfig()
+	cfg.Kernel = kernel
+	cfg.DisablePool = disablePool
+	kb, err := experiments.NewKernelBench(cfg, rate)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -386,8 +389,7 @@ func BenchmarkKernelNaiveSaturation(b *testing.B) {
 	benchKernel(b, network.KernelNaive, 0.20)
 }
 
-// The unpooled variants are the "before" leg of the allocation story
-// (cmd/benchjson -alloc records the same axis into BENCH_alloc.json).
+// The unpooled variants are the "before" leg of the allocation story.
 func BenchmarkKernelActiveMidLoadNoPool(b *testing.B) {
 	benchKernelPool(b, network.KernelActive, 0.05, true)
 }

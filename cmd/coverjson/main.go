@@ -1,6 +1,6 @@
 // Command coverjson records the repository's per-package test coverage
-// as a diffable JSON artifact and diffs two such artifacts, mirroring
-// benchjson's baseline/compare workflow for the coverage axis.
+// as a diffable JSON artifact and diffs two such artifacts: a committed
+// baseline and a fresh measurement.
 //
 // With -extract it parses `go test -cover ./...` output (from a file
 // argument or stdin) into COVER_baseline.json: one row per package with
@@ -12,8 +12,8 @@
 // than -tolerance percentage points (default 1.0). Packages present in
 // only one file are reported but never fail the diff — adding or
 // removing a package is not a coverage regression. Run via
-// `make cover-compare`; CI runs it warn-only, like the benchmark
-// baseline, because coverage of randomized soak tests can wobble.
+// `make cover-compare`; CI runs it warn-only, because coverage of
+// randomized soak tests can wobble.
 package main
 
 import (

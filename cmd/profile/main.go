@@ -87,7 +87,10 @@ func main() {
 		}
 		kb, err = experiments.NewScaleBench(*kernel, *sc, *rate)
 	} else {
-		kb, err = experiments.NewKernelBenchPool(*kernel, *rate, *nopool)
+		cfg := network.DefaultConfig()
+		cfg.Kernel = *kernel
+		cfg.DisablePool = *nopool
+		kb, err = experiments.NewKernelBench(cfg, *rate)
 	}
 	if err != nil {
 		fail(err)

@@ -436,19 +436,7 @@ func (u *UPP) detectAt(id topology.NodeID, cycle sim.Cycle) {
 			ns.counters[v] = 0
 			continue
 		}
-		port, vcIdx, f := u.findStalledUpward(r, vnet, ns.rr[v], cycle)
-		if port == topology.InvalidPort && u.net.TransitionActive() {
-			// During a routing-epoch transition, old- and new-epoch
-			// traffic coexist and an incompatible pair can form a
-			// dependency cycle entirely within the interposer mesh — a
-			// shape the steady-state detector never sees, because
-			// up*/down* keeps each layer acyclic on its own and any
-			// deadlock must then involve an upward-stalled packet.
-			// Widen detection to mesh-stalled packets while the
-			// transition lasts (DESIGN.md §15): the popup mechanics are
-			// path-agnostic, so recovery works unchanged.
-			port, vcIdx, f = u.findStalledMesh(r, vnet, ns.rr[v], cycle)
-		}
+		port, vcIdx, f := u.findStalledHead(r, vnet, ns.rr[v], cycle)
 		if port == topology.InvalidPort {
 			ns.counters[v] = 0
 			continue
@@ -467,39 +455,45 @@ func (u *UPP) detectAt(id topology.NodeID, cycle sim.Cycle) {
 	}
 }
 
-// findStalledUpward scans r's input VCs round-robin for a stalled packet
-// whose next hop is an Up port, returning its location and front flit.
-func (u *UPP) findStalledUpward(r router.Microarch, vnet message.VNet, rrStart int, cycle sim.Cycle) (topology.PortID, int, message.Flit) {
-	nports := r.NumPorts()
-	nvc := r.Config().NumVCs()
-	total := nports * nvc
-	for k := 1; k <= total; k++ {
-		idx := (rrStart + k) % total
-		port := topology.PortID(idx / nvc)
-		vcIdx := idx % nvc
-		if r.Config().VCVNet(vcIdx) != vnet {
-			continue
-		}
-		vc := r.VCAt(port, vcIdx)
-		if vc.Hold || vc.State == router.VCIdle {
-			continue
-		}
-		if vc.OutPort == topology.InvalidPort || r.TopoNode().Ports[vc.OutPort].Dir != topology.Up {
-			continue
-		}
-		f, ok := vc.FrontReady(cycle)
-		if !ok || f.Pkt.Popup {
-			continue
-		}
-		return port, vcIdx, f
+// dirSet is a set of port directions, one bit per topology.Direction:
+// the predicate findStalled applies to a head's next hop.
+type dirSet uint8
+
+const (
+	// upBound selects heads routed to the Up port: the steady-state
+	// detector's upward packets (Sec. V-A).
+	upBound dirSet = 1 << topology.Up
+	// meshBound selects heads routed to an intra-layer mesh port: the
+	// transition-time widening (DESIGN.md §15).
+	meshBound dirSet = 1<<topology.East | 1<<topology.West | 1<<topology.North | 1<<topology.South
+)
+
+// findStalledHead returns the stalled head detection counts at r: an
+// Up-bound one if any, otherwise — only while a routing-epoch transition
+// is active — a mesh-bound one. The two directions are separate passes
+// in that order; one pass accepting both would let a mesh-bound head
+// earlier in round-robin order shadow an Up-bound one.
+func (u *UPP) findStalledHead(r router.Microarch, vnet message.VNet, rrStart int, cycle sim.Cycle) (topology.PortID, int, message.Flit) {
+	port, vcIdx, f := u.findStalled(r, vnet, rrStart, cycle, upBound)
+	if port == topology.InvalidPort && u.net.TransitionActive() {
+		// During a routing-epoch transition, old- and new-epoch
+		// traffic coexist and an incompatible pair can form a
+		// dependency cycle entirely within the interposer mesh — a
+		// shape the steady-state detector never sees, because
+		// up*/down* keeps each layer acyclic on its own and any
+		// deadlock must then involve an upward-stalled packet.
+		// Widen detection to mesh-stalled packets while the
+		// transition lasts (DESIGN.md §15): the popup mechanics are
+		// path-agnostic, so recovery works unchanged.
+		port, vcIdx, f = u.findStalled(r, vnet, rrStart, cycle, meshBound)
 	}
-	return topology.InvalidPort, -1, message.Flit{}
+	return port, vcIdx, f
 }
 
-// findStalledMesh is findStalledUpward's transition-time companion: it
-// scans for a stalled packet whose next hop is an intra-layer mesh port.
-// Only consulted while a routing-epoch transition is active.
-func (u *UPP) findStalledMesh(r router.Microarch, vnet message.VNet, rrStart int, cycle sim.Cycle) (topology.PortID, int, message.Flit) {
+// findStalled scans r's input VCs round-robin from rrStart for a stalled
+// packet of vnet whose next hop's direction is in dirs, returning its
+// location and front flit.
+func (u *UPP) findStalled(r router.Microarch, vnet message.VNet, rrStart int, cycle sim.Cycle, dirs dirSet) (topology.PortID, int, message.Flit) {
 	nports := r.NumPorts()
 	nvc := r.Config().NumVCs()
 	total := nports * nvc
@@ -514,12 +508,7 @@ func (u *UPP) findStalledMesh(r router.Microarch, vnet message.VNet, rrStart int
 		if vc.Hold || vc.State == router.VCIdle {
 			continue
 		}
-		if vc.OutPort == topology.InvalidPort || vc.OutPort == topology.LocalPort {
-			continue
-		}
-		switch r.TopoNode().Ports[vc.OutPort].Dir {
-		case topology.East, topology.West, topology.North, topology.South:
-		default:
+		if vc.OutPort == topology.InvalidPort || dirs&(1<<r.TopoNode().Ports[vc.OutPort].Dir) == 0 {
 			continue
 		}
 		f, ok := vc.FrontReady(cycle)
@@ -841,7 +830,7 @@ func (u *UPP) releaseOrigin(p *popup) {
 // OnRouterIdle implements network.Scheme: when the active-set kernel
 // retires a router, its timeout counters reset for VNets with no popup in
 // flight — exactly what the naive kernel's per-cycle detect would do (an
-// empty router has no stalled upward packet, so findStalledUpward misses
+// empty router has no stalled upward packet, so findStalledHead misses
 // and the counter zeroes). Counters of VNets with an active popup are left
 // alone: detection pauses for those in both kernels.
 func (u *UPP) OnRouterIdle(node topology.NodeID, _ sim.Cycle) {

@@ -35,7 +35,10 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	rates := map[string]float64{router.ArchIQ: 0.05, router.ArchOQ: 0.035, router.ArchVOQ: 0.05}
 	for _, arch := range RouterArchs() {
 		t.Run(network.KernelActive+"_"+arch, func(t *testing.T) {
-			kb, err := NewKernelBenchArch(network.KernelActive, arch, rates[arch])
+			cfg := network.DefaultConfig()
+			cfg.Kernel = network.KernelActive
+			cfg.RouterArch = arch
+			kb, err := NewKernelBench(cfg, rates[arch])
 			if err != nil {
 				t.Fatal(err)
 			}

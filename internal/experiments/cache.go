@@ -64,8 +64,8 @@ var cacheHits, cacheMisses, warmHits, warmMisses atomic.Uint64
 
 // CacheCounters reports the process-wide cache statistics: result-cache
 // hits and misses, and warm-start checkpoint hits and misses among the
-// result misses. The figures and benchjson binaries print these so CI
-// can assert a re-run was served from cache.
+// result misses. The figures binary prints these so CI can assert a
+// re-run was served from cache.
 func CacheCounters() (hits, misses, warmStartHits, warmStartMisses uint64) {
 	return cacheHits.Load(), cacheMisses.Load(), warmHits.Load(), warmMisses.Load()
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // ScaleSystem pairs a label with a scale-out topology configuration. The
-// three presets are shared by the `figures -exp scale` runner, the
-// cmd/benchjson -scale rows and the CI scale-smoke job, so every
-// scale artifact talks about the same systems.
+// three presets are shared by the `figures -exp scale` runner and the
+// `-scale` flags of uppsim and profile, so every scale artifact talks
+// about the same systems.
 type ScaleSystem struct {
 	Label  string
 	Config topology.ScaleConfig
@@ -39,10 +39,9 @@ func scaleRates() []float64 {
 
 // Scale compares UPP against remote control on the scale-out systems
 // under uniform random traffic: latency-vs-rate curves and a saturation
-// summary for the small and large presets (the huge preset is exercised
-// by the scale benchmarks and CI smoke, where a single
-// configuration suffices — a full sweep of an 8192-router system is a
-// multi-hour run). Run via `figures -exp scale`.
+// summary for the small and large presets (the huge preset runs as a
+// single configuration through `uppsim -scale huge`; a full sweep of an
+// 8192-router system is a multi-hour run). Run via `figures -exp scale`.
 func Scale(dur Durations, opts PoolOptions) ([]Table, error) {
 	curves := Table{
 		ID:     "scale",
@@ -55,7 +54,7 @@ func Scale(dur Durations, opts PoolOptions) ([]Table, error) {
 		Header: []string{"system", "routers", "scheme", "sat_rate", "sat_throughput", "zero_load_latency"},
 		Notes: []string{
 			"UPP's recovery stays event-driven at scale; remote control polls every boundary it has held",
-			"huge (8192 routers) is covered by BENCH_scale.json and the CI scale-smoke job",
+			"huge (8192 routers) is not swept: run a single configuration with `uppsim -scale huge`",
 		},
 	}
 	for _, sys := range ScaleSystems() {
